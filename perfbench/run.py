@@ -38,7 +38,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -46,20 +45,21 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 CACHE = ROOT / ".perfbench_cache"
-#: Fresh interpreters timed per run for ``setup_s`` (after one discarded
-#: warm-up start that fills the bytecode and page caches).
+#: Fresh interpreters timed per run for ``setup_s``.  The benchmark
+#: process has already imported ``repro`` by then, so the bytecode and
+#: page caches are warm for every one of them.
 SETUP_PROBES = 3
-#: Seconds of ``--seconds`` per timed replay of every stream.
-SECONDS_PER_REPLAY = 12.5
+#: Seconds of ``--seconds`` per timed cycle over every stream.
+SECONDS_PER_CYCLE = 12.5
 
 
-def replays(seconds: float) -> int:
-    """Timed replays of every stream: at least two, more for longer runs.
+def cycle_count(seconds: float) -> int:
+    """Timed cycles over every stream: at least two, more for longer runs.
 
     Set by ``--seconds`` alone, never by how fast the program runs, so
-    both sides of a comparison take the fastest of as many replays.
+    both sides of a comparison take the faster of as many cycles.
     """
-    return max(2, int(seconds // SECONDS_PER_REPLAY))
+    return max(2, int(seconds // SECONDS_PER_CYCLE))
 
 
 def _die(message: str) -> None:
@@ -88,7 +88,7 @@ def setup_probe(workload_name: str) -> None:
 
 def measure_setup(workload_name: str, probes: int) -> float:
     times = []
-    for i in range(probes + 1):
+    for _ in range(probes):
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
@@ -100,8 +100,7 @@ def measure_setup(workload_name: str, probes: int) -> float:
         proc.stdout.close()
         if proc.wait(timeout=60) != 0 or line.strip() != b"ready":
             _die(f"setup probe for {workload_name} failed")
-        if i:  # the first start only warms the caches
-            times.append(elapsed)
+        times.append(elapsed)
     return statistics.median(times)
 
 
@@ -115,19 +114,29 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+def code_hash() -> str:
+    """Hash of the code that decides a trace: ``repro`` and the drivers."""
+    h = hashlib.sha256()
+    for path in sorted([*(SRC / "repro").rglob("*.py"), HERE / "workloads.py"]):
+        h.update(path.relative_to(ROOT).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
 class DigestBook:
     """Every pass of one stream at one seed must give the same trace.
 
-    Digests persist in ``.perfbench_cache`` so timed and traced runs in
-    separate invocations are held to the first one recorded.
+    Digests persist in ``.perfbench_cache`` so timed and traced runs of
+    one commit in separate invocations are held to the first one
+    recorded.  The key holds the workload definition (other inputs,
+    other traces) and the code hash (a change of behaviour is a new
+    trace, not a failed check).
     """
 
     def __init__(self, workload, seed: int) -> None:
         self.path = CACHE / "digests.json"
-        # The workload definition is part of the key: other inputs,
-        # other traces.
         shape = hashlib.sha256(repr(workload).encode()).hexdigest()[:12]
-        self.prefix = f"{workload.name}/{shape}/{seed}"
+        self.prefix = f"{workload.name}/{shape}/{code_hash()}/{seed}"
         try:
             self.book = json.loads(self.path.read_text())
         except (OSError, ValueError):
@@ -182,48 +191,24 @@ class Loop:
         self.digests.check(k, digest(result), what)
         return result
 
-    def cycle(self, cycles: int, what: str = "timed") -> list:
-        """``cycles`` passes over streams 0, 1, ..., K-1."""
+    def cycles(self, count: int, what: str = "timed") -> list:
+        """``count`` cycles, each one pass over streams 0, 1, ..., K-1.
+
+        Returns the cycles in which every pass completed.
+        """
         done = []
-        for _ in range(cycles):
-            for k in range(len(self.inputs)):
-                result = self.one_pass(k, what=what)
-                if result is not None:
-                    done.append(result)
+        for _ in range(count):
+            passes = [self.one_pass(k, what=what) for k in range(len(self.inputs))]
+            if None not in passes:
+                done.append(passes)
         return done
 
 
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def best_of(passes: list) -> list:
-    """One result per stream, its replays merged observation by observation.
-
-    Replays of a stream do identical work with identical call
-    boundaries, so each observation keeps the fastest of its latency
-    samples and each call the fastest of its wall-time steps.  This
-    host's speed swings by half within seconds; the fastest of the
-    replays is what the program costs, the rest is the host.
-    """
-    import numpy as np
-
-    by_stream: dict = {}
-    for p in passes:
-        by_stream.setdefault(p.stream, []).append(p)
-    merged = []
-    for _, ps in sorted(by_stream.items()):
-        wall = np.min([p.wall for p in ps], axis=0)
-        merged.append(replace(
-            ps[0],
-            seconds=float(wall.sum()),
-            latency=np.min([p.latency for p in ps], axis=0),
-            wall=wall,
-        ))
-    return merged
-
-
 def throughput(passes: list) -> float:
-    """Observations per second over one pass of every stream."""
+    """Observations per wall second over the given passes."""
     return sum(p.n for p in passes) / sum(p.seconds for p in passes)
 
 
@@ -276,13 +261,19 @@ def percentile_problems(lat: dict) -> list:
     return problems
 
 
-def end_to_end(passes, loop, setup_s) -> tuple:
-    """End-to-end metrics (and latency stats) over one result per stream."""
-    lat = latency_stats(passes)
-    kappa = statistics.mean(p.kappa for p in passes)
-    cf1 = statistics.mean(p.cf1 for p in passes)
+def end_to_end(cycles, loop, setup_s) -> tuple:
+    """End-to-end metrics (and latency stats) over the timed cycles.
+
+    Throughput is that of the faster whole cycle: interference on a
+    shared host only ever slows a cycle down.  The percentiles pool the
+    latency samples of every pass of every cycle.  Kappa and C-F1 are
+    the same in every cycle (the digest check holds them to it).
+    """
+    lat = latency_stats([p for passes in cycles for p in passes])
+    kappa = statistics.mean(p.kappa for p in cycles[0])
+    cf1 = statistics.mean(p.cf1 for p in cycles[0])
     return {
-        "throughput_obs_s": (throughput(passes), "obs/s"),
+        "throughput_obs_s": (max(throughput(passes) for passes in cycles), "obs/s"),
         "latency_p50_ms": (lat["p50"], "ms"),
         "latency_p99_ms": (lat["p99"], "ms"),
         "setup_s": (setup_s, "s"),
@@ -384,12 +375,14 @@ def run(args) -> int:
             digests.check(0, digest(ref), "restart-free replay")
 
         if not args.trace:
-            passes = best_of(loop.cycle(replays(args.seconds)))
-            if len(passes) == len(inputs):
-                metrics, lat = end_to_end(passes, loop, setup_s)
+            count = cycle_count(args.seconds)
+            cycles = loop.cycles(count)
+            if len(cycles) == count:
+                metrics, lat = end_to_end(cycles, loop, setup_s)
         else:
-            untraced = loop.cycle(1, what="untraced")
-            if len(untraced) == len(inputs):
+            untraced = loop.cycles(1, what="untraced")
+            untraced = untraced[0] if untraced else []
+            if untraced:
                 lat = latency_stats(untraced)
             tracer = Tracer()
             inst = instrument(tracer)

@@ -66,8 +66,8 @@ WORKLOADS: Dict[str, Workload] = {
             mode="per_obs",
             config={},
             n_features=3,
-            n_streams=3,
-            segment_length=400,
+            n_streams=5,
+            segment_length=240,
             n_repeats=2,
         ),
         Workload(
@@ -76,8 +76,8 @@ WORKLOADS: Dict[str, Workload] = {
             mode="chunked",
             config={"sketch_profile": "fast", "oracle_drift": True},
             n_features=10,
-            n_streams=2,
-            segment_length=150,
+            n_streams=3,
+            segment_length=120,
             n_repeats=2,
             chunk_size=5,
         ),
@@ -91,7 +91,7 @@ WORKLOADS: Dict[str, Workload] = {
             config={"oracle_drift": True},
             n_features=10,
             n_streams=2,
-            segment_length=200,
+            segment_length=150,
             n_repeats=2,
             chunk_size=3,
             checkpoint_every=25,
@@ -245,10 +245,6 @@ class PassResult:
     latency: np.ndarray
     call_start: np.ndarray
     events: np.ndarray
-    # Wall time from the previous call's return to this call's return,
-    # harness and runner work (checkpoint saves, restores) included, at
-    # each call's first observation; 0 elsewhere.  Sums to the pass.
-    wall: np.ndarray
     kappa: float = 0.0
     cf1: float = 0.0
     repository_size: int = 0
@@ -320,7 +316,6 @@ def run_per_obs(
     preds = np.empty(n, dtype=np.int64)
     sids = np.empty(n, dtype=np.int64)
     lat = np.empty(n)
-    ends = np.empty(n)
     selected = np.zeros(n, dtype=bool)
     clock = time.perf_counter
     process = system.process
@@ -329,16 +324,13 @@ def run_per_obs(
         before = system.selection_events
         a = clock()
         preds[i] = process(X[i], Y[i])
-        ends[i] = b = clock()
-        lat[i] = b - a
+        lat[i] = clock() - a
         sids[i] = system.active_state_id
         selected[i] = system.selection_events != before
     seconds = clock() - t0
     events = _event_classes(n, cfg, selected)
-    wall = np.diff(ends, prepend=t0)
     return _finish(
-        PassResult(k, n, seconds, preds, sids, lat, np.ones(n, dtype=bool), events,
-                   wall),
+        PassResult(k, n, seconds, preds, sids, lat, np.ones(n, dtype=bool), events),
         inputs, system,
     )
 
@@ -369,12 +361,11 @@ def run_chunked(
     preds = np.empty(n, dtype=np.int64)
     sids = np.empty(n, dtype=np.int64)
     lat = np.empty(n)
-    wall = np.zeros(n)
     selected = np.zeros(n, dtype=bool)
     bounds = _chunk_bounds(inputs.concepts, workload.chunk_size)
     X, Y, C = inputs.X, inputs.y, inputs.concepts
     clock = time.perf_counter
-    t0 = previous = clock()
+    t0 = clock()
     for lo, hi in bounds:
         # The chunk is handed over before the oracle signals the drift
         # its first observation revealed, so the drift's selection is
@@ -384,16 +375,13 @@ def run_chunked(
         if lo and C[lo] != C[lo - 1]:
             system.signal_drift()
         preds[lo:hi] = system.process_chunk(X[lo:hi], Y[lo:hi], state_ids_out=sids[lo:hi])
-        b = clock()
-        lat[lo:hi] = b - a
-        wall[lo] = b - previous
-        previous = b
+        lat[lo:hi] = clock() - a
         if system.selection_events != before:
             selected[lo] = True
     seconds = clock() - t0
     events = _spread_calls(_event_classes(n, cfg, selected), bounds)
     return _finish(
-        PassResult(k, n, seconds, preds, sids, lat, _starts(n, bounds), events, wall),
+        PassResult(k, n, seconds, preds, sids, lat, _starts(n, bounds), events),
         inputs, system,
     )
 
@@ -415,11 +403,9 @@ class _Capture:
         self.preds = np.empty(n, dtype=np.int64)
         self.sids = np.empty(n, dtype=np.int64)
         self.lat = np.empty(n)
-        self.wall = np.zeros(n)
         self.selected = np.zeros(n, dtype=bool)
         self.bounds: List[Tuple[int, int]] = []
         self.pos = 0
-        self.previous = time.perf_counter()
 
     def install(self, system: Any) -> None:
         inner = system.process_chunk
@@ -435,8 +421,6 @@ class _Capture:
             self.preds[lo:hi] = out
             self.sids[lo:hi] = state_ids_out
             self.lat[lo:hi] = b - self.stream.pulled[lo:hi]
-            self.wall[lo] = b - self.previous
-            self.previous = b
             self.selected[lo] = system.selection_events != self.selections
             self.selections = system.selection_events
             self.bounds.append((lo, hi))
@@ -477,7 +461,7 @@ def run_checkpointed(
     )
     attempted = verified = 0
     clock = time.perf_counter
-    t0 = cap.previous = clock()
+    t0 = clock()
     while not runner.exhausted:
         limit = runner.n_seen + workload.restart_every if restarts else None
         runner.run(limit)
@@ -505,7 +489,7 @@ def run_checkpointed(
     events = _spread_calls(_event_classes(n, cfg, cap.selected), cap.bounds)
     result = PassResult(
         k, n, seconds, cap.preds, cap.sids, cap.lat, _starts(n, cap.bounds), events,
-        cap.wall, restores_attempted=attempted, restores_verified=verified,
+        restores_attempted=attempted, restores_verified=verified,
     )
     return _finish(result, inputs, system)
 
