@@ -1,6 +1,6 @@
 """Ablation: the dynamic weighting scheme of Section III-B.
 
-DESIGN.md calls out the weighting as the design choice to ablate:
+The weighting is the design choice to ablate:
 ``w_mi = w_sigma * w_d`` combines a scale term (1/sigma) and a Fisher
 discrimination term (max of inter-concept and intra-classifier
 variation).  This bench runs FiCSUM with weighting "none" (plain

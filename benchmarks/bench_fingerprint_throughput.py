@@ -11,9 +11,8 @@ This bench replays one labelled stream through three per-observation
 extraction loops:
 
 * **batch-list** — the pre-refactor shape: a ``deque`` of observation
-  tuples rebuilt into arrays every step, batch extraction (this is
-  what ``Ficsum._window_arrays`` + ``FingerprintExtractor.extract``
-  did before the refactor),
+  tuples rebuilt into arrays every step, then batch
+  ``FingerprintPipeline.extract``,
 * **batch-views** — batch extraction over the ring-buffer
   ``ObservationWindow`` views (isolates the window-copy fix),
 * **incremental** — ``push`` + ``extract_incremental`` (the new hot

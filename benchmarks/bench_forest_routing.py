@@ -15,11 +15,13 @@ prediction block at once:
 
 * sweeps repository size R in {5, 10, 20, 40},
 * per R, times the full stacking phase (bank route + shared extract +
-  block extraction vs per-state ``predict_batch`` + per-state partial
-  extraction) on identically populated twin systems, asserting the two
-  paths produce **bit-for-bit identical** ``(R, D)`` stacks,
-* runs a multi-concept recurring stream end to end in both modes and
-  asserts identical predictions, drift points and state-id traces.
+  block extraction vs the reference oracle's per-state
+  ``predict_batch`` + per-state batch extraction) on identically
+  populated twin systems, asserting the two paths produce
+  **bit-for-bit identical** ``(R, D)`` stacks,
+* runs a multi-concept recurring stream end to end on production and
+  on :class:`reference.ReferenceFicsum` and asserts identical
+  predictions, drift points and state-id traces.
 
 Asserts the R=40 stacking phase clears 2x over the per-state loop and
 emits ``BENCH_forest_routing.json`` (per-R ``speedup_stacking`` ratios
@@ -32,6 +34,7 @@ import time
 
 import numpy as np
 from _harness import SCALE, render_table, save_bench_json, save_table
+from reference import ReferenceFicsum
 
 from repro.core import Ficsum, FicsumConfig
 from repro.core.variants import make_ficsum
@@ -64,13 +67,14 @@ def _concept_window(rng: np.random.Generator, shift: np.ndarray, n: int):
     return X, y
 
 
-def build_system(R: int, forest: bool) -> Ficsum:
+def build_system(R: int, reference: bool) -> Ficsum:
     """A FiCSUM instance whose repository holds R trained concepts.
 
     Same deterministic population as the selection bench: trained tree
     classifiers (so routing has real structure to descend), >= 4
     incorporated fingerprints, similarity and error records, a full
-    active window and a warmed normaliser.
+    active window and a warmed normaliser.  ``reference`` builds the
+    per-state-loop oracle instead of production.
     """
     cfg = FicsumConfig(
         window_size=W,
@@ -79,11 +83,9 @@ def build_system(R: int, forest: bool) -> Ficsum:
         oracle_drift=True,
         metafeatures=METAFEATURES,
         max_repository_size=R + 1,
-        forest_routing=forest,
-        incremental=False,
         seed=1,
     )
-    system = Ficsum(N_FEATURES, 2, cfg)
+    system = (ReferenceFicsum if reference else Ficsum)(N_FEATURES, 2, cfg)
     rng = np.random.default_rng(7)
     shifts = rng.normal(scale=2.0, size=(R, N_FEATURES))
     states = [system._active]
@@ -124,8 +126,8 @@ def _stack_event(system: Ficsum, candidates):
     """One stacking phase on a fresh window identity.
 
     The step bump invalidates the shared-extraction key, so every event
-    pays exactly what a real selection pays: one shared pass plus the
-    per-candidate dependent dims (per-state or as one block).
+    pays exactly what a real selection pays (one shared pass plus one
+    dependent-dims block, or one full extraction per candidate).
     """
     system._step += 1
     xa, ya, _ = system.window.arrays()
@@ -134,8 +136,8 @@ def _stack_event(system: Ficsum, candidates):
 
 def bench_repository_size(R: int) -> dict:
     systems = {
-        "loop": build_system(R, forest=False),
-        "forest": build_system(R, forest=True),
+        "loop": build_system(R, reference=True),
+        "forest": build_system(R, reference=False),
     }
     stacks = {}
     for mode, system in systems.items():
@@ -160,9 +162,9 @@ def bench_repository_size(R: int) -> dict:
 
 
 def run_stream_equivalence() -> dict:
-    """Full recurring-stream runs, forest routing on vs off: same run."""
+    """Full recurring-stream runs, production vs reference: same run."""
     out = {}
-    for forest in (True, False):
+    for reference in (False, True):
         cfg = FicsumConfig(
             window_size=40,
             fingerprint_period=4,
@@ -172,7 +174,6 @@ def run_stream_equivalence() -> dict:
             oracle_drift=True,
             metafeatures=METAFEATURES,
             track_discrimination=True,
-            forest_routing=forest,
         )
         stream = make_dataset(
             "RBF",
@@ -180,12 +181,13 @@ def run_stream_equivalence() -> dict:
             segment_length=max(90, int(150 * min(SCALE, 1.0))),
             n_repeats=2,
         )
-        system = make_ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
+        build = ReferenceFicsum if reference else make_ficsum
+        system = build(stream.meta.n_features, stream.meta.n_classes, cfg)
         start = time.perf_counter()
         result = prequential_run(system, stream, oracle_drift=True)
         wall = time.perf_counter() - start
-        out[forest] = (result, system, wall)
-    (r_on, s_on, wall_on), (r_off, s_off, _) = out[True], out[False]
+        out[reference] = (result, system, wall)
+    (r_on, s_on, wall_on), (r_off, s_off, _) = out[False], out[True]
     assert r_on.accuracy == r_off.accuracy
     assert r_on.state_ids == r_off.state_ids
     assert s_on.drift_points == s_off.drift_points
@@ -225,11 +227,11 @@ def build_table(results: dict) -> str:
         rows,
         notes=(
             "Stacking phase = re-labelling the active window under "
-            "every stored concept's classifier and extracting the "
-            "classifier-dependent fingerprint dimensions: per-state "
-            "predict_batch + partial extraction (loop) vs one "
-            "ClassifierBank mask descent + one extract_partial_many "
-            "block (forest).  Both paths produce bit-identical "
+            "every stored concept's classifier and fingerprinting it: "
+            "the reference oracle's per-state predict_batch + batch "
+            "extraction (loop) vs one ClassifierBank mask descent + one "
+            "shared pass + one extract_partial_many block (forest).  "
+            "Both paths produce bit-identical "
             "stacks; full stream runs are asserted identical "
             "observation for observation."
         ),
@@ -254,6 +256,6 @@ def test_forest_routing_throughput(benchmark):
         repo_states=max(R_SWEEP),
         selection_events=len(R_SWEEP) * N_EVENTS,
     )
-    # The PR's acceptance bar: >= 2x stacking-phase speedup at a
-    # 40-state repository over the per-state loop path.
+    # >= 2x stacking-phase speedup at a 40-state repository over the
+    # reference per-state loop.
     assert headline >= 2.0, results["stacking"]

@@ -73,7 +73,6 @@ def build_system(R: int, *, ann: bool, exact: bool) -> Ficsum:
         oracle_drift=True,
         metafeatures=METAFEATURES,
         max_repository_size=R + 2,
-        forest_routing=False,
         ann_prefilter=ann,
         ann_exact=exact,
         seed=1,

@@ -49,7 +49,7 @@ N_REPS = 3
 
 
 def bench_snapshot_latency(R: int, workdir: Path) -> dict:
-    system = build_populated_system(R, forest=True)
+    system = build_populated_system(R, reference=False)
     path = workdir / f"snap_r{R}"
     save_system(system, path)  # warm-up + artifact for sizing/restore
     artifact_bytes = sum(p.stat().st_size for p in path.iterdir())

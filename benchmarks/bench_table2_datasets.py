@@ -52,7 +52,8 @@ def build_table2() -> str:
         notes=(
             "Length/#features/#contexts match the paper exactly; #classes "
             "and the dominant drift type (Table IV segmentation) are "
-            "properties of the generative stand-ins (DESIGN.md section 3)."
+            "properties of the generative stand-ins (see the "
+            "repro.streams.realworld module docstring)."
         ),
     )
 

@@ -1,10 +1,19 @@
-"""Benchmark-suite fixtures."""
+"""Benchmark-suite fixtures.
+
+Benches that time a fast path against its reference import the one
+oracle, ``tests/reference.py``, so ``tests/`` joins the import path.
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
 import _harness
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(autouse=True)

@@ -436,9 +436,11 @@ class TrustedKernelRule(LintRule):
 class ToggleCoverageRule(LintRule):
     """RPR004: every fast-path toggle is pinned by an equivalence test.
 
-    Every boolean ``FicsumConfig`` field defaulting to ``True`` is
-    presumed to gate a fast path whose on/off traces must be
-    bit-for-bit identical, so some test module importing
+    Fast paths replace production code in place and are pinned against
+    the reference oracle ``tests/reference.py`` (``ReferenceFicsum``)
+    through ``tests/equivalence.py``.  A boolean ``FicsumConfig`` field
+    defaulting to ``True`` is presumed to gate a fast path whose on/off
+    traces must be bit-for-bit identical, so some test module importing
     ``tests/equivalence.py`` must reference it.  Semantic ablation
     toggles (results legitimately differ) carry an explicit per-line
     ``repro-lint: disable=RPR004`` on their field.
@@ -471,8 +473,9 @@ class ToggleCoverageRule(LintRule):
                     module,
                     node,
                     f"fast-path toggle {field!r} is not referenced by any "
-                    "test module importing tests/equivalence.py; add an "
-                    "equivalence test or mark it as a semantic toggle",
+                    "test module importing tests/equivalence.py; pin the "
+                    "fast path against tests/reference.py (ReferenceFicsum) "
+                    "and drop the toggle, or mark it as a semantic toggle",
                 )
 
     @staticmethod

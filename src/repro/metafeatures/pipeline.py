@@ -22,16 +22,15 @@ of hard-coded name lists.
 Three extraction paths share one schema:
 
 * :meth:`FingerprintPipeline.extract` — the batch reference: every
-  component recomputed from the full window (also used for candidate
-  classifiers during model selection, whose predictions differ from the
-  stored window).
+  component recomputed from the full window (also serves label-outage
+  matching, which has no accumulators to read).
 * :meth:`FingerprintPipeline.push` +
   :meth:`FingerprintPipeline.extract_incremental` — the hot path:
   components that admit rolling algebra read their values from O(1)
   accumulators; only the expensive components (IMF entropies, lagged
   MI, permutation importance) fall back to batch recomputation.
 * :meth:`FingerprintPipeline.extract_shared` +
-  :meth:`FingerprintPipeline.extract_partial` — the model-selection
+  :meth:`FingerprintPipeline.extract_partial_many` — the model-selection
   hot path: the classifier-independent dimensions (feature- and
   label-sourced) are identical for every candidate classifier
   re-labelling the same window, so they are computed once and reused
@@ -39,9 +38,11 @@ Three extraction paths share one schema:
   classifier-backed components such as the permutation importance) are
   recomputed per candidate.  :class:`WindowExtractionCache` keys the
   shared part on window identity so ``R`` candidate extractions cost
-  one shared pass plus ``R`` dependent-dimension passes.  Both halves
-  are computed with the same row kernels over sub-matrices of the same
-  layout, so ``extract_partial`` is bit-for-bit equal to ``extract``.
+  one shared pass plus one block pass over all ``R`` candidates' dependent
+  dimensions.  Both halves run the same row kernels as ``extract``
+  over rows of the same layout, so the result is bit-for-bit
+  ``extract``; :meth:`FingerprintPipeline.extract_partial` is its
+  single-candidate case.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ class FingerprintPipeline:
     metafeatures:
         Component (or Table V group) names resolved against
         :data:`repro.registry.METAFEATURES`; defaults to the full
-        13-function set of Table I.  ``functions`` is accepted as a
-        legacy alias.
+        13-function set of Table I.
     source_set:
         ``"all"`` (FiCSUM), ``"supervised"`` (S-MI: labels, predictions,
         errors, error distances), ``"unsupervised"`` (U-MI: features
@@ -195,7 +195,6 @@ class FingerprintPipeline:
         source_set: str = "all",
         shapley_max_eval: int = 12,
         window_size: Optional[int] = None,
-        functions: Optional[Sequence[str]] = None,
         sketch_profile: str = "exact",
     ) -> None:
         if n_features <= 0:
@@ -204,15 +203,6 @@ class FingerprintPipeline:
             raise ValueError(
                 f"source_set must be one of {SOURCE_SETS}, got {source_set!r}"
             )
-        if functions is not None:
-            if metafeatures is not None and tuple(metafeatures) != tuple(
-                functions
-            ):
-                raise ValueError(
-                    "functions is a legacy alias of metafeatures; "
-                    "pass only one of them"
-                )
-            metafeatures = functions
         self.n_features = n_features
         self.source_set = source_set
         self.shapley_max_eval = shapley_max_eval
@@ -508,7 +498,7 @@ class FingerprintPipeline:
         rows = self._indep_rows
         if rows.size:
             labels = np.asarray(labels, dtype=np.float64)
-            ctx = WindowContext(self._build_row_matrix(window_x, labels, None, None, rows))
+            ctx = WindowContext(self._build_row_matrix(window_x, labels, rows))
             for j, component in enumerate(self.components):
                 if self._classifier_components[j]:
                     continue  # classifier-backed: recomputed per candidate
@@ -529,55 +519,13 @@ class FingerprintPipeline:
         ``schema.classifier_dependent`` — the preds/errors/error-distance
         sources plus classifier-backed components — and fills everything
         else from ``shared`` (computed on demand when omitted).  The
-        result is bit-for-bit identical to :meth:`extract` on the same
-        inputs: both paths run the same row kernels over sub-matrices of
-        identical layout.
+        single-candidate case of :meth:`extract_partial_many`, so the
+        result is bit-for-bit :meth:`extract` on the same inputs.
         """
-        if shared is None:
-            shared = self.extract_shared(window_x, labels)
-        window_x = np.asarray(window_x, dtype=np.float64)
-        w = len(labels)
-        if window_x.shape != (w, self.n_features):
-            raise ValueError(
-                f"window_x shape {window_x.shape} does not match "
-                f"({w}, {self.n_features})"
-            )
-        n_sources = len(self.schema.source_names)
-        n_functions = len(self.components)
-        n_matrix = len(self._matrix_sources)
-        fingerprint = np.array(shared, dtype=np.float64).reshape(
-            n_sources, n_functions
-        )
-        labels = np.asarray(labels, dtype=np.float64)
-        preds = np.asarray(preds, dtype=np.float64)
-        errors = (labels != preds).astype(np.float64)
-
-        rows = self._dep_rows
-        ctx: Optional[WindowContext] = None
-        if rows.size:
-            ctx = WindowContext(
-                self._build_row_matrix(window_x, labels, preds, errors, rows)
-            )
-        dists: Optional[np.ndarray] = None
-        if self._has_error_dists:
-            error_idx = np.flatnonzero(errors)
-            if error_idx.size >= 2:
-                dists = np.diff(error_idx).astype(np.float64)
-            else:
-                dists = np.array([float(w)])
-        ed_cache: dict = {}
-        for j, component in enumerate(self.components):
-            if self._classifier_components[j]:
-                fingerprint[:n_matrix, j] = self._classifier_column(
-                    component, window_x, classifier
-                )
-            elif ctx is not None:
-                fingerprint[rows, j] = component.batch_rows(ctx)
-            if dists is not None:
-                fingerprint[n_matrix, j] = component.batch_scalar_cached(
-                    dists, ed_cache
-                )
-        return fingerprint.reshape(-1)
+        preds_block = np.asarray(preds, dtype=np.float64)[None, :]
+        return self.extract_partial_many(
+            window_x, labels, preds_block, [classifier], shared=shared
+        )[0]
 
     def extract_partial_many(
         self,
@@ -593,8 +541,7 @@ class FingerprintPipeline:
         classifier re-labelling the same window (the
         :class:`~repro.classifiers.bank.ClassifierBank`'s output block).
         Returns the ``(R, D)`` stack whose row ``r`` is **bit-for-bit**
-        ``extract_partial(window_x, labels, preds_block[r],
-        classifiers[r], shared=shared)`` — and therefore ``extract`` —
+        ``extract(window_x, labels, preds_block[r], classifiers[r])``
         with zero per-candidate Python round-trips on the matrix-source
         dimensions:
 
@@ -701,7 +648,7 @@ class FingerprintPipeline:
     ) -> list:
         """The ``(R, w)`` block backing each dependent matrix-source row.
 
-        Mirrors :meth:`_build_row_matrix`'s index map restricted to the
+        Mirrors :meth:`_build_matrix`'s row layout restricted to the
         classifier-dependent rows (which are always the preds / errors
         sources — labels and features are classifier-independent).
         """
@@ -714,33 +661,24 @@ class FingerprintPipeline:
         return [by_index[int(src_row)] for src_row in self._dep_rows]
 
     def _build_row_matrix(
-        self,
-        window_x: np.ndarray,
-        labels: Optional[np.ndarray],
-        preds: Optional[np.ndarray],
-        errors: Optional[np.ndarray],
-        rows: np.ndarray,
+        self, window_x: np.ndarray, labels: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """C-contiguous sub-matrix of the selected matrix-source rows.
+        """C-contiguous sub-matrix of the classifier-independent rows.
 
-        Row contents match :meth:`_build_matrix` exactly (same dtype,
-        same contiguity), so per-row kernels produce bit-identical
-        values on the sub-matrix and on the full matrix.
+        ``rows`` index feature sources or the label source.  Row
+        contents match :meth:`_build_matrix` exactly (same dtype, same
+        contiguity), so per-row kernels produce bit-identical values on
+        the sub-matrix and on the full matrix.
         """
         d = self.n_features
-        w = window_x.shape[0]
-        by_index = {d: labels, d + 1: preds, d + 2: errors}
-        if self.source_set == "supervised":
-            by_index = {0: labels, 1: preds, 2: errors}
-        elif self.source_set == "error_rate":
-            by_index = {0: errors}
-        matrix = np.empty((rows.size, w))
+        has_features = self.source_set in ("all", "unsupervised")
+        matrix = np.empty((rows.size, window_x.shape[0]))
         for out_row, src_row in enumerate(rows):
             src_row = int(src_row)
-            if self.source_set in ("all", "unsupervised") and src_row < d:
+            if has_features and src_row < d:
                 matrix[out_row] = window_x[:, src_row]
             else:
-                matrix[out_row] = by_index[src_row]
+                matrix[out_row] = labels
         return matrix
 
     def _extract(
@@ -911,16 +849,13 @@ class WindowExtractionCache:
         """Fingerprint a window, reusing shared work for repeated keys.
 
         Bit-for-bit equal to ``pipeline.extract(window_x, labels,
-        preds, classifier)`` for every call, whatever the key history.
+        preds, classifier)`` for every call, whatever the key history:
+        the single-candidate case of :meth:`extract_many`.
         """
-        if key != self._key:
-            self._shared = self.pipeline.extract_shared(window_x, labels)
-            self._key = key
-            self.n_shared_computes += 1
-        self.n_partial_extracts += 1
-        return self.pipeline.extract_partial(
-            window_x, labels, preds, classifier, shared=self._shared
-        )
+        preds_block = np.asarray(preds, dtype=np.float64)[None, :]
+        return self.extract_many(
+            key, window_x, labels, preds_block, [classifier]
+        )[0]
 
     def extract_many(
         self,
@@ -932,13 +867,10 @@ class WindowExtractionCache:
     ) -> np.ndarray:
         """Fingerprint one window under many candidates, sharing work.
 
-        The forest-routing counterpart of :meth:`extract`: one shared
-        pass per window identity, one
+        One shared pass per window identity, one
         :meth:`FingerprintPipeline.extract_partial_many` for the whole
-        prediction block.  Counters advance as if every candidate had
-        gone through :meth:`extract` (``n_partial_extracts`` grows by
-        ``R``), so the cache's work-accounting invariants hold on
-        either path.
+        ``(R, w)`` prediction block; ``n_partial_extracts`` grows by
+        ``R``.
         """
         if key != self._key:
             self._shared = self.pipeline.extract_shared(window_x, labels)
@@ -950,11 +882,6 @@ class WindowExtractionCache:
         )
 
 
-#: Backwards-compatible name: the pipeline supersedes the closed
-#: extractor but keeps its constructor and ``extract`` contract.
-FingerprintExtractor = FingerprintPipeline
-
-
 __all__ = [
     "SOURCE_SETS",
     "SourceInfo",
@@ -962,6 +889,5 @@ __all__ = [
     "source_info",
     "FingerprintSchema",
     "FingerprintPipeline",
-    "FingerprintExtractor",
     "WindowExtractionCache",
 ]

@@ -5,7 +5,8 @@ Every dataset registers its concept-pool factory through
 characteristics; ``make_dataset(name, seed)`` is a thin query over the
 registry that returns a :class:`RecurrentStream`.  Synthetic pools come
 from the generator ports; real-world datasets use the generative
-stand-ins of :mod:`repro.streams.realworld` (see DESIGN.md §3).
+stand-ins of :mod:`repro.streams.realworld` (its module docstring
+lists what each stand-in preserves).
 Segment lengths default to (paper length) / (contexts x 9 repeats) and
 can be overridden — the benchmark harness runs scaled-down streams by
 default.

@@ -17,7 +17,8 @@ properties the evaluation actually depends on:
 * structural quirks the paper calls out: QG's many redundant
   correlated features, UCI-Wine's near-zero error-rate discrimination.
 
-See DESIGN.md §3 for the substitution table.
+Each ``<dataset>_concepts`` factory below documents its own
+substitution: Table II shape and which distribution its contexts move.
 """
 
 from __future__ import annotations

@@ -1,26 +1,21 @@
 """Shared run-pinning equivalence utilities.
 
-Every execution-restructuring PR in this repository (chunked engine,
-shared-window extraction cache, vectorized selection, forest routing)
-carries the same hard constraint: the optimised path must be
-**bit-for-bit** identical to the path it replaces — same predictions,
-drift points, state-id traces, discrimination samples and dynamic
-weights.  The test modules pinning those constraints all follow one
-pattern — *run two configurations of the same seeded stream, assert the
-traces are identical* — which lives here so a new toggle joins the
-equivalence matrix by writing one test, not one harness.
+Every execution fast path of :class:`~repro.core.ficsum.Ficsum` (shared-
+window extraction, batched selection scoring, forest routing, the
+chunked engine) carries the same hard constraint: it must be
+**bit-for-bit** identical to the plain computation it replaces — same
+predictions, drift points, state-id traces, discrimination samples and
+dynamic weights.  The plain computation lives in one oracle,
+:class:`reference.ReferenceFicsum`, and the pins all follow one
+pattern — *run production and the oracle on the same seeded stream,
+assert the traces are identical*::
 
-Usage::
+    assert_matches_reference({"metafeatures": None}, variant="er")
 
-    trace_on = run_config({"forest_routing": True})
-    trace_off = run_config({"forest_routing": False})
-    assert_identical_traces(trace_on, trace_off)
+Two configurations of production itself (e.g. chunked vs
+per-observation, or an explicit default) compare the same way::
 
-or, for the common A/B-toggle case, in one call::
-
-    assert_equivalent_configs(
-        {"forest_routing": True}, {"forest_routing": False}
-    )
+    assert_identical_traces(run_config({}), run_config({}, chunk_size=64))
 
 ``run_config`` starts from :data:`BASE_CONFIG` (a small, fast, oracle-
 drift recurring-concept setup that exercises model selection, the
@@ -40,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+from reference import ReferenceFicsum
 
 from repro.core import FicsumConfig
 from repro.core.ficsum import Ficsum
@@ -95,14 +91,17 @@ def build_system(
     n_repeats: int = 2,
     variant: str = "full",
     base: Optional[Dict[str, object]] = None,
+    reference: bool = False,
 ):
     """Build an unrun (system, stream) pair for one configuration.
 
     ``overrides`` are :class:`FicsumConfig` fields applied on top of
     ``base`` (default :data:`BASE_CONFIG`; pass ``{}`` to start from
     the dataclass defaults).  ``variant="er"`` builds the univariate
-    error-rate variant.  The stream seed is offset by ``REPRO_SEED``.
-    Spy tests instrument the system here before driving it themselves.
+    error-rate variant; ``reference=True`` builds it as a
+    :class:`ReferenceFicsum`.  The stream seed is offset by
+    ``REPRO_SEED``.  Spy tests instrument the system here before
+    driving it themselves.
     """
     cfg_kwargs = dict(BASE_CONFIG if base is None else base)
     cfg_kwargs.update(overrides or {})
@@ -115,6 +114,10 @@ def build_system(
     )
     make = make_error_rate_variant if variant == "er" else make_ficsum
     system = make(stream.meta.n_features, stream.meta.n_classes, cfg)
+    if reference:
+        system = ReferenceFicsum(
+            system.n_features, system.n_classes, system.config
+        )
     return system, stream
 
 
@@ -206,10 +209,25 @@ def assert_equivalent_configs(
 ):
     """Run both configurations and assert identical traces.
 
-    Returns ``(trace_a, trace_b)`` so callers can add toggle-specific
-    assertions (cache counters, repository internals, ...).
+    Returns ``(trace_a, trace_b)`` so callers can add further
+    assertions (repository internals, ...).
     """
     a = run_config(overrides_a, **run_kwargs)
     b = run_config(overrides_b, **run_kwargs)
     assert_identical_traces(a, b)
     return a, b
+
+
+def assert_matches_reference(
+    overrides: Optional[Dict[str, object]] = None, **run_kwargs
+):
+    """Run production :class:`Ficsum` and :class:`ReferenceFicsum` on
+    the same configuration and stream; assert identical traces.
+
+    Returns ``(production, reference)`` traces so callers can add
+    further assertions (cache counters, repository internals, ...).
+    """
+    fast = run_config(overrides, **run_kwargs)
+    ref = run_config(overrides, reference=True, **run_kwargs)
+    assert_identical_traces(fast, ref)
+    return fast, ref

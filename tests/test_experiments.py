@@ -378,16 +378,6 @@ class TestMetafeatureSelector:
                 metafeatures=["vibes"],
             )
 
-    def test_legacy_functions_alias_normalises(self):
-        cfg = FicsumConfig(functions=["mean", "std"])
-        assert cfg.metafeatures == ("mean", "std")
-        assert cfg.functions is None
-        assert cfg.overrides() == {"metafeatures": ["mean", "std"]}
-
-    def test_conflicting_alias_rejected(self):
-        with pytest.raises(ValueError, match="legacy alias"):
-            FicsumConfig(functions=["mean"], metafeatures=["std"])
-
     def test_baseline_cells_still_drop_selection(self):
         spec = ExperimentSpec(
             systems=["htcd"], datasets=["STAGGER"], metafeatures=["mean"]

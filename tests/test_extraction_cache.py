@@ -8,7 +8,7 @@ The model-selection hot path relies on three facts pinned here:
   candidate classifiers (the shared part really is shared);
 * FiCSUM's model selection / re-check / repository step compute the
   classifier-independent dimensions exactly once per window (spy test)
-  and behave identically with the cache disabled.
+  and behave identically to the cache-free reference oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from equivalence import assert_equivalent_configs, build_system
+from equivalence import assert_matches_reference, build_system
 
 from repro.classifiers import HoeffdingTree
 from repro.evaluation.prequential import prequential_run
@@ -155,16 +155,22 @@ def test_window_extraction_cache_counters(window):
     assert cache.n_shared_computes == 3
 
 
-def _spy_on_extraction(system):
-    """Instrument a system's pipeline + cache; returns the call log."""
+@pytest.fixture(scope="module")
+def spied_run():
+    """One default run with its pipeline and cache instrumented.
+
+    The cache's single-candidate :meth:`WindowExtractionCache.extract`
+    routes through ``extract_many``, so spying on ``extract_many`` sees
+    every candidate fingerprint exactly once.
+    """
+    system, stream = build_system()
     pipe = system.pipeline
     cache = system._extract_cache
-    calls = {"full": 0, "shared": 0, "keys": [], "block_rows": 0}
+    calls = {"full": 0, "shared": 0, "keys": [], "rows": Counter()}
 
     original_extract = pipe.extract
     original_shared = pipe.extract_shared
-    original_cache_extract = cache.extract
-    original_cache_many = cache.extract_many
+    original_many = cache.extract_many
 
     def spy_extract(*args, **kwargs):
         calls["full"] += 1
@@ -174,77 +180,51 @@ def _spy_on_extraction(system):
         calls["shared"] += 1
         return original_shared(*args, **kwargs)
 
-    def spy_cache_extract(key, *args, **kwargs):
+    def spy_many(key, window_x, labels, preds_block, *args, **kwargs):
         calls["keys"].append(key)
-        calls["block_rows"] += 1
-        return original_cache_extract(key, *args, **kwargs)
-
-    def spy_cache_many(key, window_x, labels, preds_block, *args, **kwargs):
-        calls["keys"].append(key)
-        calls["block_rows"] += len(preds_block)
-        return original_cache_many(
-            key, window_x, labels, preds_block, *args, **kwargs
-        )
+        calls["rows"][key] += len(preds_block)
+        return original_many(key, window_x, labels, preds_block, *args, **kwargs)
 
     pipe.extract = spy_extract
     pipe.extract_shared = spy_shared
-    cache.extract = spy_cache_extract
-    cache.extract_many = spy_cache_many
-    return calls
+    cache.extract_many = spy_many
+    prequential_run(system, stream, oracle_drift=True)
+    return system, calls
 
 
-def test_ficsum_computes_shared_dims_once_per_window():
+def test_ficsum_computes_shared_dims_once_per_window(spied_run):
     """Spy test for the acceptance criterion: model selection and the
     repository step never run full extraction, and the classifier-
     independent dimensions are computed exactly once per window even
-    when many candidate states fingerprint it (the per-candidate cache
-    path — ``forest_routing`` off)."""
-    system, stream = build_system({"forest_routing": False})
+    when many candidate states fingerprint it."""
+    system, calls = spied_run
     cache = system._extract_cache
-    calls = _spy_on_extraction(system)
-
-    prequential_run(system, stream, oracle_drift=True)
-
     assert len(system.repository) >= 2  # several candidate states existed
     assert calls["keys"], "model selection / repository step never ran"
     # Full extraction is gone from the hot path entirely.
     assert calls["full"] == 0
     # The shared (classifier-independent) part: exactly once per window.
-    per_window = Counter(calls["keys"])
-    assert calls["shared"] == len(per_window)
-    assert cache.n_shared_computes == len(per_window)
-    # At least one window was fingerprinted by several states, which is
-    # precisely the redundancy the cache removes.
-    assert max(per_window.values()) >= 2
-    assert cache.n_partial_extracts == len(calls["keys"])
+    n_windows = len(calls["rows"])
+    assert calls["shared"] == n_windows
+    assert cache.n_shared_computes == n_windows
+    # At least one window was fingerprinted under several states, which
+    # is precisely the redundancy the cache removes.
+    assert max(calls["rows"].values()) >= 2
 
 
-def test_ficsum_forest_routing_shares_the_same_cache():
-    """On the forest-routing path the whole candidate block goes
-    through one ``extract_many`` per window, the shared part is still
-    computed exactly once per window, and the work counters account
-    for every candidate in the block."""
-    system, stream = build_system()
+def test_ficsum_forest_routing_shares_the_same_cache(spied_run):
+    """The candidate fan-out arrives as ``(R, w)`` blocks: fewer cache
+    calls than fingerprinted candidates, and the work counters account
+    for every candidate in every block."""
+    system, calls = spied_run
     cache = system._extract_cache
-    calls = _spy_on_extraction(system)
-
-    prequential_run(system, stream, oracle_drift=True)
-
-    assert len(system.repository) >= 2
-    assert calls["keys"], "model selection / repository step never ran"
-    assert calls["full"] == 0
-    per_window = Counter(calls["keys"])
-    assert calls["shared"] == len(per_window)
-    assert cache.n_shared_computes == len(per_window)
-    # The candidate fan-out arrives as blocks: fewer cache calls than
-    # fingerprinted candidates, but every candidate is accounted for.
-    assert cache.n_partial_extracts == calls["block_rows"]
+    n_rows = sum(calls["rows"].values())
+    assert cache.n_partial_extracts == n_rows
     assert cache.n_partial_extracts > len(calls["keys"])
 
 
 def test_ficsum_cache_disabled_is_equivalent():
-    """The cache is an execution detail: identical run either way."""
-    _, off = assert_equivalent_configs(
-        {"extraction_cache": True}, {"extraction_cache": False}
-    )
-    assert off.system._extract_cache is None
+    """The cache is an execution detail: the reference oracle, which
+    extracts every candidate fingerprint in full, runs identically —
+    here under the chunked engine."""
+    assert_matches_reference(chunk_size=16)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import ReferenceFicsum
 
 from repro import Ficsum, FicsumConfig
 from repro.core.variants import (
@@ -49,6 +50,13 @@ class TestConfigValidation:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             FicsumConfig(**kwargs)
+
+    def test_from_overrides_lists_known_fields(self):
+        with pytest.raises(
+            ValueError, match=r"unknown FicsumConfig fields \['forest_routing'\]; "
+            r"known: \[.*'window_size'"
+        ):
+            FicsumConfig.from_overrides({"forest_routing": False})
 
 
 class TestVariantConstruction:
@@ -190,7 +198,7 @@ class TestFicsumBehaviour:
             tie_threshold=0.3,
         )
         system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
-        mask = system.extractor.schema.classifier_dependent
+        mask = system.pipeline.schema.classifier_dependent
         observed_reset = False
         prev_marker = 0
         for i, (x, y, _) in enumerate(stream):
@@ -238,7 +246,6 @@ class TestIncrementalPipeline:
         batch recomputation over the final window (shared tolerance)."""
         stream = small_stream(segment_length=250, n_repeats=2)
         system = Ficsum(stream.meta.n_features, stream.meta.n_classes, FAST)
-        assert system.config.incremental
         for x, y, _ in stream:
             system.process(x, y)
         xa, ya, la = system.window.arrays()
@@ -253,27 +260,36 @@ class TestIncrementalPipeline:
         assert incremental.shape == batch.shape
 
     def test_incremental_off_still_works(self):
+        """The reference oracle with batch active-window extraction runs
+        a whole stream."""
         stream = small_stream(segment_length=200, n_repeats=1)
-        cfg = FicsumConfig(
-            fingerprint_period=5, repository_period=50, incremental=False
+        cfg = FicsumConfig(fingerprint_period=5, repository_period=50)
+        system = ReferenceFicsum(
+            stream.meta.n_features, stream.meta.n_classes, cfg,
+            batch_active=True,
         )
-        system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
         result = prequential_run(system, stream)
         assert result.n_observations == stream.meta.length
 
     def test_incremental_and_batch_runs_agree_closely(self):
-        """The two paths may diverge only within float tolerance, so
-        whole-run metrics should be essentially identical."""
+        """Rolling and batch active-window extraction may diverge only
+        within float tolerance, so whole-run metrics should be
+        essentially identical."""
         results = {}
         for incremental in (True, False):
             stream = small_stream(seed=2, segment_length=250, n_repeats=2)
             cfg = FicsumConfig(
-                fingerprint_period=5,
-                repository_period=50,
-                window_size=50,
-                incremental=incremental,
+                fingerprint_period=5, repository_period=50, window_size=50
             )
-            system = Ficsum(stream.meta.n_features, stream.meta.n_classes, cfg)
+            if incremental:
+                system = Ficsum(
+                    stream.meta.n_features, stream.meta.n_classes, cfg
+                )
+            else:
+                system = ReferenceFicsum(
+                    stream.meta.n_features, stream.meta.n_classes, cfg,
+                    batch_active=True,
+                )
             results[incremental] = prequential_run(system, stream)
         assert results[True].accuracy == pytest.approx(
             results[False].accuracy, abs=0.02

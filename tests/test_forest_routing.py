@@ -1,5 +1,5 @@
 """One-pass forest routing: bank exactness, pipeline block extraction,
-FiCSUM wiring and whole-run equivalence of ``forest_routing`` on vs off.
+FiCSUM wiring and whole-run equivalence with the reference oracle.
 
 Three layers, each pinned bit-for-bit against the path it replaces:
 
@@ -12,8 +12,9 @@ Three layers, each pinned bit-for-bit against the path it replaces:
   dependent-dims extraction equals sequential ``extract_partial`` (and
   the batch-reference ``extract``) including the permutation-importance
   rng stream, for every source set;
-* the framework — full recurring-stream runs with the toggle on vs off
-  are identical observation for observation (via the shared
+* the framework — full recurring-stream runs are identical observation
+  for observation to :class:`reference.ReferenceFicsum`, which stacks
+  candidates through the per-state loop (via the shared
   :mod:`equivalence` harness), including the ADWIN detection path, the
   univariate ER variant, the full Table I component set and chunked
   execution; a repository holding a non-tree classifier transparently
@@ -25,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from equivalence import (
-    assert_equivalent_configs,
     assert_identical_traces,
+    assert_matches_reference,
     build_system,
     run_config,
 )
@@ -241,7 +242,7 @@ class TestClassifierBank:
 
 
 # ----------------------------------------------------------------------
-# Pipeline block extraction == sequential partial extraction
+# Pipeline block extraction == sequential batch extraction
 # ----------------------------------------------------------------------
 class TestExtractPartialMany:
     @pytest.fixture(scope="class")
@@ -258,26 +259,26 @@ class TestExtractPartialMany:
         "source_set", ["all", "supervised", "unsupervised", "error_rate"]
     )
     def test_block_equals_sequential_partials(self, window, source_set):
+        """A block completed from a precomputed shared vector equals
+        one batch ``extract`` per candidate, for every source set."""
         X, ys, preds, trees = window
         D = X.shape[1]
         ref_pipe = FingerprintPipeline(D, source_set=source_set)
-        shared = ref_pipe.extract_shared(X, ys)
         reference = np.stack(
             [
-                ref_pipe.extract_partial(
-                    X, ys, preds[r], trees[r], shared=shared
-                )
+                ref_pipe.extract(X, ys, preds[r], trees[r])
                 for r in range(len(trees))
             ]
         )
-        block = FingerprintPipeline(
-            D, source_set=source_set
-        ).extract_partial_many(X, ys, preds, trees)
+        pipe = FingerprintPipeline(D, source_set=source_set)
+        shared = pipe.extract_shared(X, ys)
+        block = pipe.extract_partial_many(X, ys, preds, trees, shared=shared)
         np.testing.assert_array_equal(block, reference)
 
     def test_block_equals_batch_reference(self, window):
-        """Transitively: the block equals full ``extract`` per row,
-        with the permutation-importance rng advancing in lockstep."""
+        """Without a precomputed shared vector the block still equals
+        full ``extract`` per row, with the permutation-importance rng
+        advancing in lockstep."""
         X, ys, preds, trees = window
         D = X.shape[1]
         full_pipe = FingerprintPipeline(D)
@@ -308,56 +309,34 @@ class TestExtractPartialMany:
 
 
 # ----------------------------------------------------------------------
-# Whole-run equivalence: forest_routing on vs off
+# Whole-run equivalence: forest routing vs the per-state reference loop
 # ----------------------------------------------------------------------
 class TestForestRoutingEquivalence:
     def test_multi_concept_recurring_stream(self):
         """The acceptance pin: identical predictions, drift points,
         state traces and float discrimination samples on a recurring
         multi-concept stream."""
-        assert_equivalent_configs(
-            {"forest_routing": True}, {"forest_routing": False}
-        )
+        assert_matches_reference()
 
     def test_adwin_detection_path(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "oracle_drift": False},
-            {"forest_routing": False, "oracle_drift": False},
-            dataset="STAGGER",
-            seed=1,
+        assert_matches_reference(
+            {"oracle_drift": False}, dataset="STAGGER", seed=1
         )
 
     def test_univariate_er_variant(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "metafeatures": None},
-            {"forest_routing": False, "metafeatures": None},
-            variant="er",
-        )
+        assert_matches_reference({"metafeatures": None}, variant="er")
 
     def test_full_component_set_including_shapley(self):
         """The full Table I set exercises the classifier-backed
         permutation importance, whose rng stream must interleave
         exactly as the per-candidate loop's."""
-        assert_equivalent_configs(
-            {"forest_routing": True, "metafeatures": None},
-            {"forest_routing": False, "metafeatures": None},
-            segment_length=120,
-        )
-
-    def test_without_extraction_cache(self):
-        assert_equivalent_configs(
-            {"forest_routing": True, "extraction_cache": False},
-            {"forest_routing": False, "extraction_cache": False},
-        )
+        assert_matches_reference({"metafeatures": None}, segment_length=120)
 
     def test_under_eviction_pressure(self):
-        on, _ = assert_equivalent_configs(
-            {"forest_routing": True, "max_repository_size": 3},
-            {"forest_routing": False, "max_repository_size": 3},
-            seed=7,
-            segment_length=130,
+        fast, _ = assert_matches_reference(
+            {"max_repository_size": 3}, seed=7, segment_length=130
         )
-        repo = on.system.repository
+        repo = fast.system.repository
         assert len(repo) <= 3
         bank = repo.bank()
         assert bank is not None
@@ -365,12 +344,12 @@ class TestForestRoutingEquivalence:
         assert sorted(bank._plans) == sorted(s.state_id for s in repo.states())
 
     def test_chunked_engine_composes_with_forest_routing(self):
-        a = run_config({"forest_routing": True})
-        b = run_config({"forest_routing": True}, chunk_size=64)
+        a = run_config({})
+        b = run_config({}, chunk_size=64)
         assert_identical_traces(a, b)
 
     def test_forest_path_actually_taken(self):
-        """Guard against the toggle silently falling back: the bank
+        """Guard against silently falling back to the loop: the bank
         serves every multi-candidate stack of a default run."""
         system, stream = build_system()
         bank_calls = {"n": 0, "rows": 0}
@@ -400,7 +379,7 @@ class TestForestRoutingEquivalence:
     def test_non_tree_repository_falls_back_to_loop(self):
         """A repository holding any non-tree classifier has no bank;
         the stack transparently uses the per-state loop."""
-        trace = run_config({"forest_routing": True}, max_observations=400)
+        trace = run_config({}, max_observations=400)
         system = trace.system
         repo = system.repository
         assert repo.bank() is not None

@@ -14,7 +14,7 @@ Four layers of guarantees:
   RPR007 metadata pointing at a registered exact reference; config and
   spec validate and round-trip the profile.
 * **Exact-profile pinning**: ``sketch_profile="exact"`` is bit-for-bit
-  the default path across all five execution toggles, and the chunked
+  the default path, with and without sketchable components, and the chunked
   engine (which drives the vectorised block-push accumulators) is
   bit-for-bit the per-observation engine under *every* profile.
 * **Checkpoint resume**: interrupted runs restore bit-for-bit under
@@ -246,20 +246,19 @@ class TestSketchBounds:
 
 
 # ----------------------------------------------------------------------
-# Exact-profile pinning across the equivalence matrix
+# Exact-profile pinning
 # ----------------------------------------------------------------------
-TOGGLES = [
+#: The rolling subset holds no sketchable component; SKETCHABLE holds
+#: every one.
+CONFIGS = [
     {},
-    {"extraction_cache": False},
-    {"vectorized_selection": False},
-    {"forest_routing": False},
-    {"incremental": False},
+    {"metafeatures": SKETCHABLE},
 ]
 
 
 class TestExactProfilePinned:
     @pytest.mark.parametrize(
-        "overrides", TOGGLES, ids=lambda o: next(iter(o), "base")
+        "overrides", CONFIGS, ids=lambda o: next(iter(o), "base")
     )
     def test_exact_profile_is_current_path(self, overrides):
         """Explicit sketch_profile="exact" never perturbs a run."""

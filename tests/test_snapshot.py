@@ -3,10 +3,10 @@ payloads, resumable stream iterators and engine crash recovery.
 
 The core guarantee under test: a run interrupted at observation T,
 snapshotted, and restored into a **fresh process-equivalent** system
-finishes with traces identical to the uninterrupted run — across every
-execution toggle of the equivalence matrix (extraction cache,
-vectorized selection, forest routing, incremental updates), both
-engines (per-observation and chunked) and the ADWIN detection path.
+finishes with traces identical to the uninterrupted run — with and
+without the permutation importance (which draws from a checkpointed
+rng), both engines
+(per-observation and chunked) and the ADWIN detection path.
 The remaining tests pin the artifact layer itself: manifests reject
 tampering, truncation and unknown schema versions; overwrites are
 atomic; evicted states surface their full serialized payload.
@@ -39,18 +39,17 @@ from repro.serving.snapshot import (
     load_system,
     read_state,
     save_system,
+    system_from_payload,
+    system_payload,
     write_state,
 )
 from repro.system import AdaptiveSystem
 
-#: The execution-restructuring toggles whose resumed runs must all be
-#: bit-identical to their uninterrupted selves.
-TOGGLES = [
+#: Configurations whose resumed runs must be bit-identical to their
+#: uninterrupted selves.
+CONFIGS = [
     {},
-    {"extraction_cache": False},
-    {"vectorized_selection": False},
-    {"forest_routing": False},
-    {"incremental": False},
+    {"metafeatures": ["mean", "shapley"]},
 ]
 
 
@@ -81,7 +80,7 @@ def _interrupted_run(
 
 @pytest.mark.parametrize("chunk_size", [None, 16])
 @pytest.mark.parametrize(
-    "overrides", TOGGLES, ids=lambda o: next(iter(o), "base")
+    "overrides", CONFIGS, ids=lambda o: next(iter(o), "base")
 )
 def test_interrupt_restore_identical(overrides, chunk_size, tmp_path):
     reference = run_config(overrides, chunk_size=chunk_size)
@@ -161,6 +160,21 @@ def test_from_snapshot_classmethod(tmp_path):
         assert twin.process(x.copy(), y) == system.process(x, y)
         assert twin.active_state_id == system.active_state_id
     np.testing.assert_array_equal(twin.weights, system.weights)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["incremental", "extraction_cache", "vectorized_selection",
+     "forest_routing", "functions"],
+)
+def test_deleted_config_field_fails_loudly(field):
+    """A snapshot written when these FicsumConfig fields existed names
+    the field it cannot restore instead of silently dropping it."""
+    system, _ = build_system({})
+    payload = system_payload(system)
+    payload["config_overrides"] = {field: False}
+    with pytest.raises(SnapshotError, match=field):
+        system_from_payload(payload)
 
 
 # ---------------------------------------------------------------------

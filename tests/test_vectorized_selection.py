@@ -1,6 +1,7 @@
 """Vectorized repository / selection engine: kernels, matrix store,
 array-backed similarity records, eviction protection and whole-run
-equivalence of ``vectorized_selection`` on vs off.
+equivalence of batched selection with the reference oracle's
+sequential loop.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from equivalence import assert_equivalent_configs, run_config
+from equivalence import assert_matches_reference, run_config
 
 from repro.classifiers import MajorityClass
 from repro.core.repository import (
@@ -327,42 +328,31 @@ class TestFingerprintMatrix:
 
 
 # ----------------------------------------------------------------------
-# Whole-run equivalence: vectorized_selection on vs off
+# Whole-run equivalence: batched selection vs the reference oracle
 # (run-and-compare cases ride the shared equivalence harness)
 # ----------------------------------------------------------------------
 class TestVectorizedEquivalence:
     def test_multi_concept_recurring_stream(self):
         """The acceptance pin: identical predictions, drift points and
         state-id traces (and even the float discrimination samples) on
-        a multi-concept recurring stream."""
-        assert_equivalent_configs(
-            {"vectorized_selection": True}, {"vectorized_selection": False}
-        )
+        a multi-concept recurring stream (a different one from the
+        forest-routing pins)."""
+        assert_matches_reference(seed=11)
 
     def test_adwin_detection_path(self):
-        assert_equivalent_configs(
-            {"vectorized_selection": True, "oracle_drift": False},
-            {"vectorized_selection": False, "oracle_drift": False},
-            dataset="STAGGER",
-            seed=1,
-        )
+        assert_matches_reference({"oracle_drift": False}, seed=2)
 
     def test_univariate_er_variant(self):
-        assert_equivalent_configs(
-            {"vectorized_selection": True, "metafeatures": None},
-            {"vectorized_selection": False, "metafeatures": None},
-            variant="er",
+        assert_matches_reference(
+            {"metafeatures": None}, variant="er", dataset="STAGGER", seed=2
         )
 
     def test_equivalence_under_eviction_pressure(self):
-        on, _ = assert_equivalent_configs(
-            {"vectorized_selection": True, "max_repository_size": 3},
-            {"vectorized_selection": False, "max_repository_size": 3},
-            seed=7,
-            segment_length=130,
+        fast, _ = assert_matches_reference(
+            {"max_repository_size": 2}, seed=7, segment_length=130
         )
-        system = on.system
-        assert len(system.repository) <= 3
+        system = fast.system
+        assert len(system.repository) <= 2
         # Matrix rows stayed aligned through LRU eviction in a real run.
         m = system.repository.matrix()
         for r, s in enumerate(system.repository.states()):
@@ -372,7 +362,7 @@ class TestVectorizedEquivalence:
             )
 
     def test_gated_record_memo_invalidates_on_record_update(self):
-        system = run_config({"vectorized_selection": True}).system
+        system = run_config({}).system
         states = [
             s for s in system.repository.states() if s.sim_stats.count >= 2
         ]
